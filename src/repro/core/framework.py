@@ -143,12 +143,12 @@ class SecureSpreadFramework:
         every call regardless, so this can never change a simulated
         time — a wrong plan only wastes background work.
         """
-        from repro.gcs.daemon import _fan_out
+        from repro.gcs.client import deliver
 
         batches: Dict[str, list] = {}
         members = self._members
         for event in events:
-            if event.cancelled or event.fn is not _fan_out:
+            if event.cancelled or event.fn is not deliver:
                 continue
             recipients, message = event.args
             payload = message.payload

@@ -68,16 +68,18 @@ class SecureGroupMember:
         keypair = cached_rsa_keypair(
             framework.rsa_bits, machine_index % 64
         )
-        self._signer = RsaSigner(keypair, self.protocol.ledger)
-        self._verifier = RsaVerifier(self.protocol.ledger)
-        self._keypair = keypair
-        self._cpu_tail = 0.0
-        # Hot-path caches: all three are set once on the framework/
-        # transport and never reassigned, and the message handler runs
-        # O(n²) times per rekey — the attribute chains show up in profiles.
+        # Hot-path caches: all four are set once on the protocol/
+        # framework/transport and never reassigned, and the message
+        # handler runs O(n²) times per rekey — the attribute chains show
+        # up in profiles.
+        self._ledger = self.protocol.ledger
         self._sim = framework.transport.scheduler
         self._cost_model = framework.cost_model
         self._sign_for_real = framework.sign_for_real
+        self._signer = RsaSigner(keypair, self._ledger)
+        self._verifier = RsaVerifier(self._ledger)
+        self._keypair = keypair
+        self._cpu_tail = 0.0
         # Cause of this member's most recent CPU span (None when obs is
         # off or nothing ran yet): the parent for work serialized behind
         # our own CPU tail, and for the transmit/install events that fire
@@ -160,7 +162,7 @@ class SecureGroupMember:
 
     # -- view handling ---------------------------------------------------------
 
-    def _on_view(self, _client: SpreadClient, view: View) -> None:
+    def _on_view(self, _client: GroupChannel, view: View) -> None:
         if self.name not in view.members:
             # Our own departure notification: we are out of the group, so
             # stop watching for a stalled rekey we are no longer part of.
@@ -214,7 +216,7 @@ class SecureGroupMember:
 
     # -- protocol message handling ----------------------------------------------
 
-    def _on_message(self, _client: SpreadClient, message: GroupMessage) -> None:
+    def _on_message(self, _client: GroupChannel, message: GroupMessage) -> None:
         payload = message.payload
         kind = payload[0]
         if kind == "key-agreement":
@@ -233,7 +235,7 @@ class SecureGroupMember:
     ) -> None:
         if sender == self.name:
             return  # our own broadcast echoed back; nothing to verify
-        if pmsg.epoch == self._attempt_epoch and attempt != self._attempt:
+        if attempt != self._attempt and pmsg.epoch == self._attempt_epoch:
             if attempt > self._attempt:
                 # A restarted run we haven't learned about yet (its Agreed
                 # marker is still in flight while this FIFO message raced
@@ -242,45 +244,41 @@ class SecureGroupMember:
             # else: a straggler of an aborted attempt — discard.
             return
 
-        if not self.obs.enabled:
-            # Inlined ``_charged`` (its unobserved branch, kept in sync):
-            # this handler runs once per (broadcast, receiver) pair —
-            # O(n²) per rekey — and the closure + dispatch layers of the
-            # generic path are measurable at n=1024.
-            ledger = self.protocol.ledger
-            ledger.begin_charge()
-            if not self._sign_for_real:
-                ledger.record_verification()
-                outputs = self.protocol.receive(pmsg)
-            elif self._verify(sender, pmsg, signature):
-                outputs = self.protocol.receive(pmsg)
-            else:
-                outputs = []
-            cost = ledger.charge_pending(self._cost_model)
-            sim = self._sim
-            tail = self._cpu_tail
-            now = sim.now
-            self._cpu_tail = self.machine.submit(
-                sim, cost, not_before=tail if tail > now else now, span=None,
-            )
-        else:
+        protocol = self.protocol
+        if self.obs.enabled:
+            # The reference path: a ledger snapshot diff, a span and
+            # per-epoch operation counters (see ``_charged``).
 
             def work():
                 if not self._verify(sender, pmsg, signature):
                     return []
-                return self.protocol.receive(pmsg)
+                return protocol.receive(pmsg)
 
-            outputs = self._charged(
-                work, label=f"{self.protocol.name}.{pmsg.step}"
-            )
-        view = self.protocol.view
-        if view is not None:
+            outputs = self._charged(work, label=f"{protocol.name}.{pmsg.step}")
+        else:
+            # This runs once per (broadcast, receiver) pair — O(n²) per
+            # rekey — so it prices the step straight off the ledger with
+            # no window to open: every unobserved record lands in a step
+            # that is priced and closed (``OperationLedger.charge_verified``),
+            # and a verification-only step folds without a pricing pass.
+            if self._sign_for_real:
+                ok = self._verify(sender, pmsg, signature)
+                outputs = protocol.receive(pmsg) if ok else []
+                cost = self._ledger.charge_pending(self._cost_model)
+            else:
+                outputs = protocol.receive(pmsg)
+                cost = self._ledger.charge_verified(self._cost_model)
+            tail = self._cpu_tail
+            now = self._sim.now
+            self._cpu_tail = self.machine.book(tail if tail > now else now, cost)
+        view = protocol.view
+        if view is not None and (outputs or protocol.done_for(view)):
             self._after_protocol_step(view, outputs)
 
     def _verify(self, sender: str, pmsg: ProtocolMessage, signature) -> bool:
         """Verify the sender's signature (always charged; optionally real)."""
         if not self._sign_for_real:
-            self.protocol.ledger.record_verification()
+            self._ledger.record_verification()
             return True
         public = self.framework.public_key_of(sender)
         return self._verifier.verify(public, _message_bytes(pmsg), signature)
@@ -319,35 +317,43 @@ class SecureGroupMember:
                 event.cause = self._last_cpu_span
 
     def _sign(self, pmsg: ProtocolMessage):
-        span = None
-        before = None
-        if self.obs.enabled:
-            span = (
-                "crypto", f"sign {pmsg.protocol}.{pmsg.step}", self.name,
-                {"epoch": str(pmsg.epoch), "step": pmsg.step, "phase": "sign"},
+        ledger = self._ledger
+        if not self.obs.enabled:
+            # A step of its own, priced and closed like every unobserved
+            # record (see ``_handle_protocol_message``): one signature.
+            signature = self._signature(pmsg)
+            tail = self._cpu_tail
+            now = self._sim.now
+            self._cpu_tail = self.machine.book(
+                tail if tail > now else now, ledger.charge_pending(self._cost_model)
             )
-            before = self.protocol.ledger.snapshot()
-        if not self.framework.sign_for_real:
-            self.protocol.ledger.record_signature()
-            signature = None
-        else:
-            signature = self._signer.sign(_message_bytes(pmsg))
-        if before is not None:
-            record_op_counts(
-                self.obs.metrics,
-                self.protocol.ledger.delta_since(before),
-                member=self.name,
-                epoch=str(pmsg.epoch),
-            )
-        # Re-charge the CPU for the signature itself.
-        cost = self.framework.cost_model.sign_ms
-        self._cpu_tail = self.machine.submit(
-            self.sim, cost, not_before=self._cpu_tail, span=span,
-            chain=self._last_cpu_span,
+            return signature
+        span = (
+            "crypto", f"sign {pmsg.protocol}.{pmsg.step}", self.name,
+            {"epoch": str(pmsg.epoch), "step": pmsg.step, "phase": "sign"},
         )
-        if span is not None:
-            self._last_cpu_span = self.obs.causality.last_cpu_span
+        before = ledger.snapshot()
+        signature = self._signature(pmsg)
+        record_op_counts(
+            self.obs.metrics,
+            ledger.delta_since(before),
+            member=self.name,
+            epoch=str(pmsg.epoch),
+        )
+        # Re-charge the CPU for the signature itself.
+        self._cpu_tail = self.machine.submit(
+            self.sim, self._cost_model.sign_ms, not_before=self._cpu_tail,
+            span=span, chain=self._last_cpu_span,
+        )
+        self._last_cpu_span = self.obs.causality.last_cpu_span
         return signature
+
+    def _signature(self, pmsg: ProtocolMessage):
+        """Sign for real, or just record the signature (symbolic signing)."""
+        if not self._sign_for_real:
+            self._ledger.record_signature()
+            return None
+        return self._signer.sign(_message_bytes(pmsg))
 
     def _transmit(self, pmsg: ProtocolMessage, signature, attempt: int = 0) -> None:
         if not self.client.connected:
@@ -526,20 +532,16 @@ class SecureGroupMember:
         pending-record window (``begin_charge``/``charge_pending``)
         instead of building two :class:`~repro.crypto.ledger.OpCounts`
         snapshots and subtracting them; the cost comes out bit-identical
-        (see ``charge_pending``), and this is the single hottest call in
-        a large-n sweep.
+        (see ``charge_pending``).
         """
         if not self.obs.enabled:
-            ledger = self.protocol.ledger
+            ledger = self._ledger
             ledger.begin_charge()
             outputs = work()
             cost = ledger.charge_pending(self._cost_model)
-            sim = self._sim
             tail = self._cpu_tail
-            now = sim.now
-            self._cpu_tail = self.machine.submit(
-                sim, cost, not_before=tail if tail > now else now, span=None,
-            )
+            now = self._sim.now
+            self._cpu_tail = self.machine.book(tail if tail > now else now, cost)
             return outputs
         before = self.protocol.ledger.snapshot()
         outputs = work()

@@ -261,6 +261,30 @@ class OperationLedger:
             self._p_verifications = 0
         return total
 
+    def charge_verified(self, cost_model) -> float:
+        """Close a verified protocol step: price everything recorded since
+        the last window closed plus one signature verification.
+
+        The caller (``SecureGroupMember``'s unobserved receive path) opens
+        no window: every record it makes lands inside a step that is
+        priced and closed, so what is pending belongs to this step.  A
+        step that recorded nothing but the verification — most of the
+        O(n²) deliveries of a broadcast round — costs exactly one
+        verification and folds straight into the totals (bit-identical
+        to :meth:`charge_pending`: ``0.0 + 1 * verify_ms``).
+        """
+        if (
+            self._p_exps
+            or self._p_small_mults
+            or self._p_mults
+            or self._p_signatures
+            or self._p_verifications
+        ):
+            self._p_verifications += 1
+            return self.charge_pending(cost_model)
+        self._verifications += 1
+        return cost_model.verify_ms
+
     def snapshot(self) -> OpCounts:
         """Immutable snapshot of all counts so far."""
         self._flush()

@@ -108,15 +108,7 @@ class SpreadClient:
         self.connected = False
 
     def _on_message(self, message: GroupMessage) -> None:
-        if not self.connected:
-            return
-        self.received.append(message)
-        if self.world.obs.enabled:
-            self.world.obs.counter(
-                "client.messages_delivered", client=self.name
-            ).inc()
-        if self.on_message is not None:
-            self.on_message(self, message)
+        deliver((self,), message)
 
     def _on_view(self, view: View) -> None:
         if not self.connected:
@@ -142,3 +134,25 @@ class SpreadClient:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpreadClient({self.name!r} @ d{self.daemon.daemon_id})"
+
+
+def deliver(clients, message: GroupMessage) -> None:
+    """Hand one message to co-located clients, in order.
+
+    The one delivery routine of the simulated daemon: a data message
+    reaches every local recipient in a single simulator event.  A client
+    that disconnected (or whose daemon crashed) since the event was
+    scheduled drops the message; every other one records it in
+    ``received`` and runs its installed ``on_message`` callback.
+    """
+    obs = clients[0].world.obs
+    counted = obs.enabled
+    for client in clients:
+        if not client.connected:
+            continue
+        client.received.append(message)
+        if counted:
+            obs.counter("client.messages_delivered", client=client.name).inc()
+        handler = client.on_message
+        if handler is not None:
+            handler(client, message)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
+from repro.gcs.client import deliver
 from repro.gcs.messages import (
     GroupMessage,
     SequencedMessage,
@@ -379,7 +380,7 @@ class Daemon:
             client for name, client in self.clients.items() if name in records
         ]
         if recipients:
-            self.world.sim.schedule(delay, _fan_out, recipients, message)
+            self.world.sim.schedule(delay, deliver, recipients, message)
 
     def _deliver_fifo(self, message: GroupMessage) -> None:
         if self._crashed:
@@ -840,12 +841,6 @@ class Daemon:
         queued, self._send_queue = self._send_queue, []
         for message in queued:
             self.submit(message)
-
-
-def _fan_out(clients, message: GroupMessage) -> None:
-    """Deliver one message to several co-located clients in one event."""
-    for client in clients:
-        client._on_message(message)
 
 
 def _reconstruct_groups(

@@ -137,6 +137,11 @@ class WallMachine:
             sim.schedule_at(finish, fn, *args)
         return finish
 
+    def book(self, start: float, work_ms: float) -> float:
+        """:meth:`submit`'s callback-free form: charge and return ``start``."""
+        self.total_work_ms += work_ms
+        return start
+
     def busy_until(self, sim: WallScheduler) -> float:
         """A live machine is never booked ahead: work starts now."""
         return sim.now

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.crypto.parallel import PowChain
 from repro.gcs.messages import View, ViewEvent
 from repro.protocols.base import KeyAgreementProtocol, ProtocolMessage, classify_event
-from repro.protocols.keytree import KeyTree, TreeNode, serialized_members
+from repro.protocols.keytree import KeyTree, TreeNode
 
 
 class KeyConfirmationError(Exception):
@@ -53,7 +53,7 @@ class TgdhProtocol(KeyAgreementProtocol):
         self.key_confirmation = key_confirmation
         self._session: Optional[int] = None
         self._tree: Optional[KeyTree] = None
-        self._collected: Dict[Tuple[str, ...], object] = {}
+        self._collected: Dict[Tuple[str, ...], KeyTree] = {}
         self._covered: set = set()
         self._pending_updates: List[Dict[str, int]] = []
         self._merging = False
@@ -146,9 +146,10 @@ class TgdhProtocol(KeyAgreementProtocol):
         return messages
 
     def _register_tree(self, serialized) -> None:
-        members = serialized_members(serialized)
+        tree = KeyTree.decode(serialized)
+        members = tree.members()
         self._covered.update(members)
-        self._collected[tuple(sorted(members))] = serialized
+        self._collected[tuple(sorted(members))] = tree
 
     def _maybe_fold(self) -> List[ProtocolMessage]:
         # Cheap-first coverage test: the length compare is O(1) per
@@ -172,30 +173,24 @@ class TgdhProtocol(KeyAgreementProtocol):
             return []
         # Deterministic fold: largest tree first, ties by member names.
         trees = [
-            KeyTree.deserialize(data)
-            for _, data in sorted(
+            tree
+            for _, tree in sorted(
                 self._collected.items(), key=lambda kv: (-len(kv[0]), kv[0])
             )
         ]
-        base = trees[0]
-        intermediates = []
-        for other in trees[1:]:
-            intermediates.append(base.insert_tree(other))
-        self._tree = base
+        self._tree, merge_points = KeyTree.merge(trees)
         # The sponsors of the update round: the rightmost member under
         # each merge point ("the rightmost member of the subtree rooted at
         # the merge point becomes the sponsor", Figure 4).
         self._sponsors = {
-            base.rightmost_member(node) for node in intermediates
+            self._tree.rightmost_member(node) for node in merge_points
         }
         self._merging = False
-        leaf = self._tree.leaf_of(self.member)
-        leaf.key = self._session
+        self._tree.leaf_of(self.member).key = self._session
         for updates in self._pending_updates:
             for node_id, bkey in updates.items():
-                node = self._tree.find(node_id)
-                if node is not None:  # unknown id: divergent fold, see receive()
-                    node.bkey = bkey
+                # An unknown id (divergent fold, see receive()) is skipped.
+                self._tree.set_bkey(node_id, bkey)
         self._pending_updates = []
         return self._advance()
 
@@ -204,10 +199,7 @@ class TgdhProtocol(KeyAgreementProtocol):
     def _start_subtractive(self, view: View) -> List[ProtocolMessage]:
         members_set = set(view.members)
         doomed = [m for m in self._tree.members() if m not in members_set]
-        promoted = self._tree.remove_members(doomed)
-        attached = [
-            node for node in promoted if self._is_attached(node)
-        ]
+        attached = self._tree.remove_members(doomed)
         # Every promoted subtree's rightmost member is a sponsor
         # (Figure 6); the shallowest rightmost one also refreshes.
         self._sponsors = {
@@ -224,11 +216,6 @@ class TgdhProtocol(KeyAgreementProtocol):
             leaf.bkey = None
             self._tree.invalidate_path(refresher)
         return self._advance()
-
-    def _is_attached(self, node: TreeNode) -> bool:
-        while node.parent is not None:
-            node = node.parent
-        return node is self._tree.root
 
     def _pick_refresher(self, promoted: List[TreeNode]) -> str:
         """The shallowest rightmost sponsor changes its share (Figure 6)."""
@@ -354,15 +341,12 @@ class TgdhProtocol(KeyAgreementProtocol):
                 self._pending_updates.append(dict(message.body["updates"]))
                 return []
             for node_id, bkey in message.body["updates"].items():
-                node = self._tree.find(node_id)
-                if node is None:
-                    # A cascade left the sender's folded tree shaped
-                    # differently from ours; this attempt cannot complete.
-                    # Drop the unknown node and let the epoch watchdog
-                    # drive the coordinated restart (which re-forms the
-                    # tree from singleton leaves deterministically).
-                    continue
-                node.bkey = bkey
+                # An unknown node means a cascade left the sender's folded
+                # tree shaped differently from ours; this attempt cannot
+                # complete.  It is dropped, and the epoch watchdog drives
+                # the coordinated restart (which re-forms the tree from
+                # singleton leaves deterministically).
+                self._tree.set_bkey(node_id, bkey)
             return self._advance()
         raise ValueError(f"unknown TGDH step {message.step!r}")
 
@@ -387,24 +371,23 @@ class TgdhProtocol(KeyAgreementProtocol):
         p = self.group.p
         q = self.group.q
         chains: List[PowChain] = []
-        path = tree.path(self.member)
-        current = path[0]
-        start = current.key
+        # Read-only walk by address (``path`` would copy the nodes).
+        address = tree.address(self.member)
+        start = tree.find(address).key
         bases: List[int] = []
-        for node in path[1:]:
+        for depth in range(len(address) - 1, -1, -1):
+            node = tree.find(address[:depth])
             if node.key is not None:
                 if bases and start is not None:
                     chains.append(PowChain(p, q, start, tuple(bases)))
                 bases = []
                 start = node.key
-                current = node
                 continue
-            sibling = node.right if node.left is current else node.left
-            bkey = updates.get(tree.node_id(sibling), sibling.bkey)
+            sibling_id = address[:depth] + ("1" if address[depth] == "0" else "0")
+            bkey = updates.get(sibling_id, tree.find(sibling_id).bkey)
             if bkey is None or start is None:
                 break  # the real walk stops at the first blocked node
             bases.append(bkey)
-            current = node
         if bases and start is not None:
             chains.append(PowChain(p, q, start, tuple(bases)))
         return chains

@@ -83,26 +83,14 @@ class Machine:
         if work_ms < 0:
             raise ValueError("work_ms must be non-negative")
         duration = work_ms / self.speed
-        # argmin over core free-times, first-wins on ties (as
-        # ``min(range, key=...)`` picked); unrolled because this runs
-        # once per protocol-message handler.  Dual-core machines — the
-        # paper's entire LAN testbed — take the branch-only path.
         core_free = self._core_free
+        # Dual-core machines — the paper's entire LAN testbed — take the
+        # branch-only path: this runs once per protocol-message handler.
         if len(core_free) == 2:
-            if core_free[1] < core_free[0]:
-                index = 1
-                best = core_free[1]
-            else:
-                index = 0
-                best = core_free[0]
+            index = 1 if core_free[1] < core_free[0] else 0
         else:
-            index = 0
-            best = core_free[0]
-            for i in range(1, len(core_free)):
-                free = core_free[i]
-                if free < best:
-                    best = free
-                    index = i
+            index = self._least_loaded()
+        best = core_free[index]
         now = sim.now
         start = now if now > not_before else not_before
         if best > start:
@@ -111,7 +99,7 @@ class Machine:
         else:
             core_gated = False
         finish = start + duration
-        self._core_free[index] = finish
+        core_free[index] = finish
         self.total_work_ms += duration
         cause = None
         if span is not None and self.obs is not None and self.obs.enabled:
@@ -148,6 +136,39 @@ class Machine:
                 # by whatever context submitted the work.
                 event.cause = cause
         return finish
+
+    def book(self, start: float, work_ms: float) -> float:
+        """The unobserved fast path of :meth:`submit`: ``work_ms`` of
+        reference-speed work, starting no earlier than ``start`` (which
+        the caller has already clamped to the current time), with no
+        completion callback and no span.  Returns the completion time,
+        exactly as :meth:`submit` would."""
+        duration = work_ms / self.speed
+        core_free = self._core_free
+        if len(core_free) == 2:  # as in submit
+            index = 1 if core_free[1] < core_free[0] else 0
+        else:
+            index = self._least_loaded()
+        best = core_free[index]
+        if best > start:
+            start = best
+        finish = start + duration
+        core_free[index] = finish
+        self.total_work_ms += duration
+        return finish
+
+    def _least_loaded(self) -> int:
+        """Index of the core that frees up first (first wins on ties, as
+        ``min(range, key=...)`` picked)."""
+        core_free = self._core_free
+        index = 0
+        best = core_free[0]
+        for i in range(1, len(core_free)):
+            free = core_free[i]
+            if free < best:
+                best = free
+                index = i
+        return index
 
     def busy_until(self, sim: Simulator) -> float:
         """Earliest time a newly submitted task could start."""

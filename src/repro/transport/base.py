@@ -161,8 +161,9 @@ class Transport(Protocol):
     ``machine(i)`` returns the CPU-accounting handle for process slot
     ``i`` — the simulator's contended :class:`~repro.sim.cpu.Machine`,
     or the asyncio backend's pass-through (real work already consumed
-    real time).  It must expose ``name`` and the ``submit(...)``
-    signature of :meth:`repro.sim.cpu.Machine.submit`.
+    real time).  It must expose ``name``, the ``submit(...)``
+    signature of :meth:`repro.sim.cpu.Machine.submit` and its
+    callback-free form ``book(start, work_ms)``.
     """
 
     kind: str

@@ -25,7 +25,6 @@ from repro.bench.harness import (
     ExperimentSpec,
     grow_group,
     grow_group_batched,
-    measure_event,
     run_experiment,
 )
 from repro.bench.load import (
@@ -69,7 +68,6 @@ __all__ = [
     "compare_payloads",
     "grow_group",
     "grow_group_batched",
-    "measure_event",
     "measure_protocol_curve",
     "pool_stats",
     "register_runner",

@@ -119,7 +119,9 @@ def run_chaos_cell(
     sample seed ⇒ identical run).  Returns
     ``{"cell": ChaosCell dict, "trace_events": [...] | None}`` — JSON-
     ready, so the cell can cross process boundaries and live in the
-    result cache.
+    result cache.  With ``trace`` set, every sample runs observed and
+    ``trace_events`` holds its observability records (spans, then the
+    metrics snapshot), each labeled with the cell coordinates.
     """
     registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
     protocol = spec["protocol"]
@@ -148,7 +150,7 @@ def run_chaos_cell(
             seed=sample_seed,
             engine=engine,
             stall_timeout_ms=stall_timeout_ms,
-            trace=trace,
+            observe=trace,
         )
         engine_name = framework.engine.name
         members = grow_group(framework, group_size)
@@ -179,16 +181,13 @@ def run_chaos_cell(
         fault_drops += framework.world.network.fault_drops
         fault_retries += framework.world.network.fault_retries
         if trace_events is not None:
-            for event in framework.world.tracer.events:
-                trace_events.append({
-                    "protocol": protocol,
-                    "drop_rate": rate,
-                    "sample": sample,
-                    "time": event.time,
-                    "category": event.category,
-                    "actor": event.actor,
-                    "detail": event.detail,
-                })
+            labels = {"protocol": protocol, "drop_rate": rate, "sample": sample}
+            for record in framework.obs.records():
+                # Round-trip through JSON so a fresh cell and a cached one
+                # hold the same values (tuples become lists, and so on).
+                trace_events.append(json.loads(
+                    json.dumps({**record, **labels}, default=str)
+                ))
     cell = ChaosCell(
         protocol=protocol,
         drop_rate=rate,
@@ -282,8 +281,8 @@ def run_chaos(
     forces the inline uncached path.  Trace events are collected inside
     each cell and appended in grid order, so tracing parallelizes too.
 
-    Pass a list as ``trace_events`` to run with the flat GCS tracer on;
-    every sample's events are appended to it as dicts labeled with the
+    Pass a list as ``trace_events`` to run every sample observed; its
+    observability records are appended to it as dicts labeled with the
     (protocol, drop rate, sample) cell coordinates.
     """
     if not (engine is None or isinstance(engine, str)):

@@ -106,6 +106,7 @@ from repro.obs import (
     timeline_critical_paths,
     validate_chrome_trace,
 )
+from repro.obs.export import write_jsonl
 
 TOPOLOGIES = TESTBEDS
 
@@ -196,9 +197,10 @@ def build_common_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--trace", dest="trace_log", default=None, metavar="PATH",
-        help="also write the flat simulation event log as JSON lines "
-        "(honored by trace, report and chaos, whose runs are bounded; "
-        "the figure/scale sweeps would overflow any trace)",
+        help="also write the observability stream (spans, then a metrics "
+        "snapshot) as JSON lines, with observation forced on (honored by "
+        "trace, report, critpath and chaos, whose runs are bounded; the "
+        "figure/scale sweeps would overflow any trace)",
     )
     common.add_argument(
         "--transport", choices=("sim", "asyncio"), default="sim",
@@ -271,16 +273,6 @@ def _add_testbed_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shard_crypto_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shard-crypto", dest="shard_crypto", type=int, default=0,
-        metavar="N",
-        help="worker processes for intra-epoch crypto sharding on the "
-        "real engine (default 0: off); results are bit-identical — the "
-        "workers only pre-warm the engine's power cache",
-    )
-
-
 def _add_pool_options(parser: argparse.ArgumentParser) -> None:
     """Sharding/caching flags shared by the grid-shaped subcommands."""
     parser.add_argument(
@@ -334,10 +326,6 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
         help="emit a Chrome trace-event JSON (Perfetto-loadable)",
     )
     _add_event_options(trace)
-    trace.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="also dump raw spans + metrics as JSON lines",
-    )
     trace.set_defaults(out="trace.json")
 
     report = sub.add_parser(
@@ -380,7 +368,6 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
         "rekey-latency percentile table (observability is passive, so "
         "the measured times are unchanged)",
     )
-    _add_shard_crypto_option(scale)
     _add_pool_options(scale)
     scale.set_defaults(engine="symbolic", out="BENCH_scale.json")
 
@@ -503,7 +490,6 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
         "exceeds this ratio; values below 1.0 require a speedup over "
         "the committed baseline (CI gates at 0.6)",
     )
-    _add_shard_crypto_option(profile)
     profile.set_defaults(engine="real", out="BENCH_profile.json")
 
     live = sub.add_parser(
@@ -648,7 +634,6 @@ def run_scale_command(args) -> int:
         observe=args.observe,
         progress=lambda line: print(f"  {line}", flush=True),
         metrics=metrics,
-        shard_jobs=args.shard_crypto,
         **_pool_kwargs(args),
     )
     write_scale_json(
@@ -712,11 +697,8 @@ def run_chaos_command(args) -> int:
     print(f"\nwrote {args.out}: {len(cells)} cells, "
           f"{converged}/{samples} samples converged")
     if trace_events is not None:
-        with open(args.trace_log, "w", encoding="utf-8") as handle:
-            for event in trace_events:
-                handle.write(json.dumps(event, sort_keys=True, default=str))
-                handle.write("\n")
-        print(f"wrote {args.trace_log}: {len(trace_events)} trace events")
+        lines = write_jsonl(trace_events, args.trace_log)
+        print(f"wrote {args.trace_log}: {lines} JSON lines (spans + metrics)")
     _print_pool_stats(metrics)
     if converged < samples:
         # The chaos acceptance bar is full convergence (the watchdog is
@@ -812,7 +794,6 @@ def run_profile_command(args) -> int:
         with_profiler=args.with_profiler,
         metrics=metrics,
         progress=lambda line: print(f"  {line}", flush=True),
-        shard_jobs=args.shard_crypto,
     )
     write_json(args.out, profile_doc)
     baseline = None
@@ -944,7 +925,6 @@ def _run_observed_event(args):
     framework = _fresh_framework(
         TOPOLOGIES[args.topology], args.protocol, args.dh_group, args.seed,
         observe=True, engine=args.engine,
-        trace=bool(getattr(args, "trace_log", None)),
     )
     members = grow_group(framework, args.size)
     if args.event == "join":
@@ -961,11 +941,11 @@ def _run_observed_event(args):
     return framework
 
 
-def _dump_gcs_trace(args, framework) -> None:
-    if not getattr(args, "trace_log", None):
+def _dump_obs_trace(args, framework) -> None:
+    if not args.trace_log:
         return
-    count = framework.world.tracer.to_jsonl(args.trace_log)
-    print(f"wrote {args.trace_log}: {count} simulation events")
+    lines = framework.obs.to_jsonl(args.trace_log)
+    print(f"wrote {args.trace_log}: {lines} JSON lines (spans + metrics)")
 
 
 def run_trace_command(args) -> int:
@@ -982,10 +962,7 @@ def run_trace_command(args) -> int:
         f"{framework.obs.spans.dropped} dropped) — {title}"
     )
     print("open in Perfetto (https://ui.perfetto.dev) or chrome://tracing")
-    if args.jsonl:
-        lines = framework.obs.to_jsonl(args.jsonl)
-        print(f"wrote {args.jsonl}: {lines} JSON lines (spans + metrics)")
-    _dump_gcs_trace(args, framework)
+    _dump_obs_trace(args, framework)
     return 0
 
 
@@ -1001,7 +978,7 @@ def run_report_command(args) -> int:
         lines.append("")
         lines.append(render_critical_paths(paths))
     _emit(args, lines)
-    _dump_gcs_trace(args, framework)
+    _dump_obs_trace(args, framework)
     return 0
 
 
@@ -1025,7 +1002,7 @@ def run_critpath_command(args) -> int:
             f"truncated.  Re-run with a larger span capacity."
         )
     _emit(args, lines)
-    _dump_gcs_trace(args, framework)
+    _dump_obs_trace(args, framework)
     return 0
 
 
@@ -1045,9 +1022,9 @@ def _validate_transport(args) -> None:
             )
         if getattr(args, "trace_log", None):
             raise ValueError(
-                "--trace records the simulated event log; the asyncio "
-                "transport has no simulation to trace — drop --trace or "
-                "use --transport sim"
+                "--trace records the simulated event log (the obs "
+                "stream); the asyncio transport has no simulation to "
+                "trace — drop --trace or use --transport sim"
             )
     elif args.command in ASYNCIO_SUBCOMMANDS:
         raise ValueError(

@@ -9,13 +9,11 @@ paper describes in §6.1.2 (CKD's controller-leave weighting, STR's
 middle-member leave, TGDH measured on the tree its own heuristic builds).
 
 An experiment cell is described by an :class:`ExperimentSpec` and run with
-:func:`run_experiment`; :func:`measure_event` remains as a thin
-backward-compatible wrapper over the old positional surface.
+:func:`run_experiment`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Union
 
@@ -40,10 +38,6 @@ class ExperimentSpec:
     :class:`~repro.gcs.topology.Topology`.  ``engine`` is a crypto engine
     spec (``None``/``"real"``/``"symbolic"``/``"real:<backend>"`` or an
     instance, see :func:`repro.crypto.engine.get_engine`).
-    ``shard_jobs`` shards each rekey epoch's member crypto across that
-    many worker processes (real engine only; 0 disables) — a pure
-    wall-clock optimization, bit-identical simulated results (see
-    :mod:`repro.crypto.parallel`).
     """
 
     protocol: str
@@ -55,7 +49,6 @@ class ExperimentSpec:
     seed: int = 0
     breakdown: bool = False
     engine: Union[None, str, CryptoEngine] = None
-    shard_jobs: int = 0
 
     def __post_init__(self):
         if self.event not in ("join", "leave"):
@@ -77,18 +70,13 @@ class ExperimentSpec:
 
     def build_framework(self, observe: Optional[bool] = None) -> SecureSpreadFramework:
         """A fresh framework configured for this cell."""
-        engine = self.engine
-        if self.shard_jobs:
-            from repro.crypto.engine import sharded_engine
-
-            engine = sharded_engine(engine, self.shard_jobs)
         return SecureSpreadFramework(
             self.topology_factory()(),
             default_protocol=self.protocol,
             dh_group=self.dh_group,
             seed=self.seed,
             observe=self.breakdown if observe is None else observe,
-            engine=engine,
+            engine=self.engine,
         )
 
 
@@ -147,7 +135,6 @@ def _fresh_framework(
     seed: int,
     observe: bool = False,
     engine=None,
-    trace: bool = False,
 ) -> SecureSpreadFramework:
     return SecureSpreadFramework(
         topology_factory(),
@@ -156,7 +143,6 @@ def _fresh_framework(
         seed=seed,
         observe=observe,
         engine=engine,
-        trace=trace,
     )
 
 
@@ -316,45 +302,6 @@ def run_experiment(spec: ExperimentSpec) -> EventMeasurement:
         communication_ms=sum(comms) / len(comms) if comms else None,
         computation_ms=sum(computs) / len(computs) if computs else None,
         engine=framework.engine.name,
-    )
-
-
-def measure_event(
-    topology_factory: Callable[[], Topology],
-    protocol: str,
-    group_size: int,
-    event: str,
-    dh_group: str = "dh-512",
-    repeats: int = 2,
-    seed: int = 0,
-    breakdown: bool = False,
-    engine=None,
-) -> EventMeasurement:
-    """Backward-compatible wrapper: build an :class:`ExperimentSpec` and
-    run it (the old positional-kwarg surface, kept for existing callers).
-
-    .. deprecated::
-        Build an :class:`ExperimentSpec` and call :func:`run_experiment`
-        instead; the spec form names every parameter and serializes.
-    """
-    warnings.warn(
-        "measure_event is deprecated; build an ExperimentSpec and call "
-        "run_experiment instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_experiment(
-        ExperimentSpec(
-            protocol=protocol,
-            event=event,
-            group_size=group_size,
-            dh_group=dh_group,
-            topology=topology_factory,
-            repeats=repeats,
-            seed=seed,
-            breakdown=breakdown,
-            engine=engine,
-        )
     )
 
 

@@ -105,7 +105,6 @@ def run_scale_cell(
         repeats=repeats,
         seed=int(spec.get("seed", 0)),
         engine=spec.get("engine", "symbolic"),
-        shard_jobs=int(spec.get("shard_jobs", 0)),
     )
     framework = espec.build_framework(observe=observe)
     members = grow_group_batched(framework, size, max_events=max_events)
@@ -181,14 +180,8 @@ def scale_cells(
     seed: int = 0,
     observe: bool = False,
     max_events: int = LARGE_RUN_MAX_EVENTS,
-    shard_jobs: int = 0,
 ) -> List[Cell]:
-    """The sweep's cell grid, protocol-major with sizes ascending.
-
-    ``shard_jobs`` enters the spec only when nonzero: sharding is a pure
-    wall-clock optimization (bit-identical results), but the spec is the
-    cache key, so the default grid must keep its existing keys.
-    """
+    """The sweep's cell grid, protocol-major with sizes ascending."""
     cells: List[Cell] = []
     for protocol in protocols:
         for size in sorted(set(sizes)):
@@ -203,8 +196,6 @@ def scale_cells(
                 "observe": observe,
                 "max_events": max_events,
             }
-            if shard_jobs:
-                spec["shard_jobs"] = shard_jobs
 
             def summarize(result, protocol=protocol, size=size):
                 return (
@@ -232,7 +223,6 @@ def run_scale(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     metrics: Optional[MetricsRegistry] = None,
-    shard_jobs: int = 0,
 ) -> List[EventMeasurement]:
     """Join and leave total-elapsed times for every protocol and size.
 
@@ -255,7 +245,6 @@ def run_scale(
         seed=seed,
         observe=observe,
         max_events=max_events,
-        shard_jobs=shard_jobs,
     )
     results = run_cells(
         cells,

@@ -9,7 +9,6 @@ protocols for different groups"), and the measurement timeline.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Type, Union
 
 from repro.core.timing import RekeyTimeline
@@ -45,23 +44,11 @@ class SecureSpreadFramework:
         seed: int = 0,
         sign_for_real: bool = False,
         rsa_bits: int = 512,
-        trace: bool = False,
         observe: bool = False,
         engine: EngineSpec = None,
         stall_timeout_ms: Optional[float] = None,
         span_capacity: int = DEFAULT_CAPACITY,
-        topology: Optional[Topology] = None,
     ):
-        if topology is not None:
-            if substrate is not None:
-                raise ValueError("pass either substrate or topology, not both")
-            warnings.warn(
-                "the topology= keyword is deprecated; pass the topology (or "
-                "a Transport) as the first positional 'substrate' argument",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            substrate = topology
         if substrate is None:
             raise TypeError("SecureSpreadFramework requires a substrate")
         if default_protocol not in available():
@@ -78,9 +65,7 @@ class SecureSpreadFramework:
         self.obs = Observability(enabled=observe, span_capacity=span_capacity)
         if isinstance(substrate, Topology):
             #: the group communication substrate (Transport interface)
-            self.transport: Transport = GcsWorld(
-                substrate, trace=trace, obs=self.obs
-            )
+            self.transport: Transport = GcsWorld(substrate, obs=self.obs)
         else:
             self.transport = substrate
             self.transport.bind(self.obs)
@@ -98,17 +83,6 @@ class SecureSpreadFramework:
         self.timeline = RekeyTimeline()
         self._group_protocols: Dict[str, str] = {}
         self._members: Dict[str, "SecureGroupMember"] = {}
-        # Intra-epoch crypto sharding: when the engine carries a shard
-        # pool, prefetch each broadcast round's exponentiations into the
-        # shared power cache as the simulator activates the delivery
-        # bucket (see repro.crypto.parallel).  Simulated substrate only —
-        # a live transport has no event buckets to hook.
-        if (
-            getattr(self.engine, "shard_pool", None) is not None
-            and isinstance(self.transport, GcsWorld)
-            and self.transport.sim.bucket_hook is None
-        ):
-            self.transport.sim.bucket_hook = self._epoch_prefetch
 
     @property
     def world(self) -> GcsWorld:
@@ -128,56 +102,6 @@ class SecureSpreadFramework:
             "framework.transport (faults/partitions/tracing are "
             "simulator-only)"
         )
-
-    def _epoch_prefetch(self, events) -> None:
-        """Bucket hook: precompute a broadcast round's crypto off-process.
-
-        Every event in an activating bucket was scheduled before the
-        drain began, so the key-agreement fan-outs it contains are
-        exactly the deliveries about to run inline.  Each recipient's
-        protocol describes its expected exponentiations
-        (``receive_plan`` — pure, no state changes), the shard pool
-        evaluates them across worker processes, and the results seed the
-        engine's shared power cache *before* the handlers fire.  Cached
-        powers are pure functions of their keys and the ledger charges
-        every call regardless, so this can never change a simulated
-        time — a wrong plan only wastes background work.
-        """
-        from repro.gcs.client import deliver
-
-        batches: Dict[str, list] = {}
-        members = self._members
-        for event in events:
-            if event.cancelled or event.fn is not deliver:
-                continue
-            recipients, message = event.args
-            payload = message.payload
-            if (
-                not isinstance(payload, tuple)
-                or not payload
-                or payload[0] != "key-agreement"
-            ):
-                continue
-            pmsg = payload[1]
-            sender = message.sender
-            for client in recipients:
-                name = client.name
-                if name == sender or name not in members:
-                    continue
-                batches.setdefault(name, []).append(pmsg)
-        if not batches:
-            return
-        pool = self.engine.shard_pool
-        chains: list = []
-        for name, pmsgs in batches.items():
-            try:
-                chains.extend(members[name].protocol.receive_plan(pmsgs))
-            except Exception:
-                # Planning is advisory: a plan that trips over an edge
-                # state must never take the run down with it.
-                pool.plan_errors += 1
-        if chains:
-            pool.warm(self.engine.power_cache, chains)
 
     # -- protocol registry ---------------------------------------------------
 

@@ -22,8 +22,6 @@ full exponentiation per call).
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 from repro.crypto.bignum import BackendSpec, get_backend
 
 
@@ -96,11 +94,3 @@ class FixedBaseTable:
         if result is None:
             return backend.unwrap(backend.wrap(1) % wp)
         return backend.unwrap(result)
-
-    def pow_many(self, exponents: Sequence[int]) -> List[int]:
-        """``[base^e mod p for e in exponents]`` over one shared table.
-
-        The batched entry point for epoch-level callers: one attribute
-        lookup per batch instead of per call, same bit-identical values.
-        """
-        return [self.pow(exponent) for exponent in exponents]

@@ -113,67 +113,6 @@ def multi_exp(
     return chosen.unwrap(acc)
 
 
-def batch_exp(
-    base: int,
-    exponents: Sequence[int],
-    modulus: int,
-    window: int = 4,
-    backend: BackendSpec = None,
-) -> List[int]:
-    """``[base^e mod modulus for e in exponents]`` over one odd-power table.
-
-    The shared-base batching primitive for epoch-level callers (GDH's
-    upflow lifts one accumulated value by many members' exponents): the
-    odd powers ``base^1, base^3, …`` are computed once and every
-    exponent reuses them, amortizing the table across the batch.  Each
-    value is bit-identical to the built-in ``pow``; exponents must be
-    non-negative.
-    """
-    if any(e < 0 for e in exponents):
-        raise ValueError("batch_exp requires non-negative exponents")
-    chosen = get_backend(backend)
-    wrap = chosen.wrap
-    unwrap = chosen.unwrap
-    wmod = wrap(modulus)
-    if not exponents:
-        return []
-    one = unwrap(wrap(1) % wmod)
-    b = wrap(base) % wmod
-    mask = (1 << window) - 1
-    b_sq = b * b % wmod
-    row = [b]
-    for _ in range((1 << (window - 1)) - 1):
-        row.append(row[-1] * b_sq % wmod)
-    results: List[int] = []
-    for e in exponents:
-        if e == 0:
-            results.append(one)
-            continue
-        # LSB-first digit placement, then one MSB-down ladder — the
-        # single-base specialization of :func:`multi_exp`.
-        digits: List[Tuple[int, int]] = []
-        shift = 0
-        while e:
-            if e & 1:
-                digit = e & mask
-                digits.append((shift, digit >> 1))
-                e >>= window
-                shift += window
-            else:
-                run = (e & -e).bit_length() - 1
-                e >>= run
-                shift += run
-        by_shift = dict(digits)
-        acc = wrap(1)
-        for position in range(shift, -1, -1):
-            acc = acc * acc % wmod
-            index = by_shift.get(position)
-            if index is not None:
-                acc = acc * row[index] % wmod
-        results.append(unwrap(acc))
-    return results
-
-
 class GroupElementContext:
     """Arithmetic over one Schnorr group, charged to one ledger.
 

@@ -15,7 +15,6 @@ value-add on top of the transport contract.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.gcs.client import SpreadClient
@@ -25,7 +24,6 @@ from repro.gcs.ring import TokenRing
 from repro.gcs.topology import Topology
 from repro.obs import Observability
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 from repro.transport.base import CAP_FAULTS, CAP_TRACE, CAP_VIRTUAL_TIME
 
 
@@ -38,13 +36,11 @@ class GcsWorld:
     def __init__(
         self,
         topology: Topology,
-        trace: bool = False,
         obs: Optional[Observability] = None,
     ) -> None:
         self.topology = topology
         self.params = topology.params
         self.sim = Simulator()
-        self.tracer = Tracer(enabled=trace)
         self.obs = obs or Observability(enabled=False)
         if self.obs.enabled:
             # Thread causal context along the event graph: scheduling
@@ -52,7 +48,7 @@ class GcsWorld:
             self.sim.cause_hook = self.obs.causality
         for machine in topology.machines:
             machine.obs = self.obs
-        self.network = Network(self.sim, topology, self.tracer, obs=self.obs)
+        self.network = Network(self.sim, topology, obs=self.obs)
         self.daemons: Dict[int, Daemon] = {}
         self.client_directory: Dict[str, Daemon] = {}
         for index, machine in enumerate(topology.machines):
@@ -72,17 +68,6 @@ class GcsWorld:
     def channel(self, name: str, machine_index: int) -> SpreadClient:
         """Create a client process on the given machine's daemon."""
         return SpreadClient(name, self.daemons[machine_index])
-
-    def client(self, name: str, machine_index: int) -> SpreadClient:
-        """Deprecated alias of :meth:`channel` (the transport-interface
-        name); kept so pre-transport scripts keep running."""
-        warnings.warn(
-            "GcsWorld.client is deprecated; use GcsWorld.channel "
-            "(the Transport interface spelling)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.channel(name, machine_index)
 
     def spawn_clients(self, names: Sequence[str]) -> List[SpreadClient]:
         """Create clients distributed uniformly across machines (§6.1.1:

@@ -15,8 +15,7 @@ bit-identical to unobserved ones.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.obs.causality import Causality, Cause
 from repro.obs.critpath import (
@@ -28,10 +27,12 @@ from repro.obs.critpath import (
 )
 from repro.obs.export import (
     JSONL_SCHEMA_VERSION,
+    span_record,
     spans_to_jsonl,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
+    write_jsonl,
 )
 from repro.obs.histo import LogHistogram, TimeSeries, render_percentiles
 from repro.obs.metrics import (
@@ -168,15 +169,18 @@ class Observability:
 
     # -- export -----------------------------------------------------------
 
+    def records(self) -> Iterator[Dict[str, Any]]:
+        """The JSONL records: one per span, then one ``{"metric": row}``
+        per instrument of the metrics snapshot."""
+        for span in self.spans.spans:
+            yield span_record(span)
+        for row in self.metrics.snapshot():
+            yield {"metric": row}
+
     def to_jsonl(self, path: str) -> int:
         """Dump spans then a metrics snapshot as JSON lines; returns the
-        total line count."""
-        count = spans_to_jsonl(self.spans.spans, path)
-        with open(path, "a") as handle:
-            for row in self.metrics.snapshot():
-                handle.write(json.dumps({"metric": row}, sort_keys=True) + "\n")
-                count += 1
-        return count
+        total line count (schema header included)."""
+        return write_jsonl(self.records(), path)
 
     def write_chrome_trace(self, path: str):
         """Write the span set as Chrome trace-event JSON; returns the dict."""

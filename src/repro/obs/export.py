@@ -26,8 +26,24 @@ from repro.obs.spans import Span
 JSONL_SCHEMA_VERSION = 2
 
 
-def spans_to_jsonl(spans: Iterable[Span], path: str) -> int:
-    """Write a schema header then one JSON object per span.
+def span_record(span: Span) -> Dict[str, Any]:
+    """One span as its JSONL record."""
+    return {
+        "category": span.category,
+        "name": span.name,
+        "actor": span.actor,
+        "proc": span.proc,
+        "start": span.start,
+        "end": span.end,
+        "span_id": span.span_id,
+        "parent_id": span.parent_id,
+        "trace_id": span.trace_id,
+        "attrs": span.attrs,
+    }
+
+
+def write_jsonl(records: Iterable[Dict[str, Any]], path: str) -> int:
+    """Write a schema header then one JSON object per record.
 
     Returns the number of lines written (header included).
     """
@@ -36,21 +52,18 @@ def spans_to_jsonl(spans: Iterable[Span], path: str) -> int:
         handle.write(json.dumps({
             "schema": {"kind": "repro.obs", "version": JSONL_SCHEMA_VERSION},
         }, sort_keys=True) + "\n")
-        for span in spans:
-            handle.write(json.dumps({
-                "category": span.category,
-                "name": span.name,
-                "actor": span.actor,
-                "proc": span.proc,
-                "start": span.start,
-                "end": span.end,
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-                "trace_id": span.trace_id,
-                "attrs": span.attrs,
-            }, sort_keys=True, default=str) + "\n")
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
             count += 1
     return count
+
+
+def spans_to_jsonl(spans: Iterable[Span], path: str) -> int:
+    """Write a schema header then one JSON object per span.
+
+    Returns the number of lines written (header included).
+    """
+    return write_jsonl(map(span_record, spans), path)
 
 
 def to_chrome_trace(spans: Iterable[Span]) -> Dict[str, Any]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.crypto.parallel import PowChain
 from repro.gcs.messages import View, ViewEvent
 from repro.protocols.base import KeyAgreementProtocol, ProtocolMessage, classify_event
 from repro.protocols.keytree import KeyTree, TreeNode
@@ -349,45 +348,3 @@ class TgdhProtocol(KeyAgreementProtocol):
                 self._tree.set_bkey(node_id, bkey)
             return self._advance()
         raise ValueError(f"unknown TGDH step {message.step!r}")
-
-    def receive_plan(self, messages: List[ProtocolMessage]) -> List[PowChain]:
-        """Predict the path-key walk a ``tgdh-bkeys`` batch will trigger.
-
-        Pure overlay of the batch's updates on the current tree: the
-        chain mirrors :meth:`_compute_path_keys` — from the lowest known
-        key on our path, each missing node lifts the sibling's blinded
-        key by the running key (``bkey^(k mod q)``).  Merge rounds and
-        key-confirmation recomputes are not predicted.
-        """
-        if self._tree is None or self._merging or self.key_confirmation:
-            return []
-        updates: Dict[str, int] = {}
-        for message in messages:
-            if message.step == "tgdh-bkeys" and not self._stale(message):
-                updates.update(message.body["updates"])
-        if not updates:
-            return []
-        tree = self._tree
-        p = self.group.p
-        q = self.group.q
-        chains: List[PowChain] = []
-        # Read-only walk by address (``path`` would copy the nodes).
-        address = tree.address(self.member)
-        start = tree.find(address).key
-        bases: List[int] = []
-        for depth in range(len(address) - 1, -1, -1):
-            node = tree.find(address[:depth])
-            if node.key is not None:
-                if bases and start is not None:
-                    chains.append(PowChain(p, q, start, tuple(bases)))
-                bases = []
-                start = node.key
-                continue
-            sibling_id = address[:depth] + ("1" if address[depth] == "0" else "0")
-            bkey = updates.get(sibling_id, tree.find(sibling_id).bkey)
-            if bkey is None or start is None:
-                break  # the real walk stops at the first blocked node
-            bases.append(bkey)
-        if bases and start is not None:
-            chains.append(PowChain(p, q, start, tuple(bases)))
-        return chains

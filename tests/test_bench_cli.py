@@ -49,7 +49,7 @@ def test_trace_subcommand_emits_valid_chrome_trace(capsys, tmp_path):
     jsonl_path = str(tmp_path / "events.jsonl")
     code = main([
         "trace", "--protocol", "TGDH", "--size", "4", "--event", "join",
-        "-o", out_path, "--jsonl", jsonl_path,
+        "-o", out_path, "--trace", jsonl_path,
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -67,6 +67,61 @@ def test_trace_subcommand_emits_valid_chrome_trace(capsys, tmp_path):
         second = json.loads(handle.readline())
     assert header["schema"]["version"] == JSONL_SCHEMA_VERSION
     assert "category" in second and "span_id" in second
+
+
+def _obs_records(path):
+    """The records of an obs JSONL file, after checking its header."""
+    with open(path) as handle:
+        rows = [json.loads(line) for line in handle]
+    assert rows[0]["schema"]["kind"] == "repro.obs"
+    return rows[1:]
+
+
+def _is_deliver(row):
+    return row.get("category") == "gcs" and row.get("name") == "deliver"
+
+
+def _is_fault_drop(row):
+    return row.get("category") == "net" and row["name"].startswith("fault-drop")
+
+
+@pytest.mark.parametrize("command", ["trace", "report"])
+def test_trace_flag_writes_the_obs_stream(command, capsys, tmp_path):
+    path = str(tmp_path / "obs.jsonl")
+    argv = [command, "--protocol", "TGDH", "--size", "8", "--trace", path]
+    if command == "trace":
+        argv += ["-o", str(tmp_path / "trace.json")]
+    assert main(argv) == 0
+    assert "JSON lines (spans + metrics)" in capsys.readouterr().out
+    rows = _obs_records(path)
+    assert any(_is_deliver(row) for row in rows)
+    assert any("metric" in row for row in rows)
+
+
+def test_chaos_trace_flag_labels_obs_records(tmp_path):
+    path = str(tmp_path / "chaos.jsonl")
+    code = main([
+        "chaos", "--protocols", "BD", "--drops", "0", "0.15", "--size", "4",
+        "--repeats", "1", "--jobs", "1", "--no-cache",
+        "-o", str(tmp_path / "chaos.json"), "--trace", path,
+    ])
+    assert code == 0
+    rows = _obs_records(path)
+    for row in rows:
+        assert row["protocol"] == "BD" and row["sample"] == 0
+    by_rate = {
+        rate: [row for row in rows if row["drop_rate"] == rate]
+        for rate in (0.0, 0.15)
+    }
+    assert len(by_rate[0.0]) + len(by_rate[0.15]) == len(rows)
+    for cell in by_rate.values():
+        assert any(_is_deliver(row) for row in cell)
+    assert not any(_is_fault_drop(row) for row in by_rate[0.0])
+    assert any(_is_fault_drop(row) for row in by_rate[0.15])
+    assert any(
+        row.get("metric", {}).get("name") == "net.fault_drops"
+        for row in by_rate[0.15]
+    )
 
 
 def test_report_subcommand_prints_reconciled_phases(capsys):

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.bench.harness import EventMeasurement, grow_group, measure_event
+from repro.bench.harness import (
+    EventMeasurement,
+    ExperimentSpec,
+    grow_group,
+    run_experiment,
+)
 from repro.bench.report import render_series, series_to_csv
 from repro.bench.series import FigureSeries, sweep_group_sizes
 from repro.core import SecureSpreadFramework
@@ -17,7 +22,9 @@ def _fast(**kwargs):
 
 class TestMeasureEvent:
     def test_join_measurement(self):
-        result = measure_event(lan_testbed, "STR", 4, "join", **_fast())
+        result = run_experiment(ExperimentSpec(
+            "STR", "join", 4, topology=lan_testbed, **_fast(),
+        ))
         assert isinstance(result, EventMeasurement)
         assert result.protocol == "STR"
         assert result.group_size == 4
@@ -27,23 +34,30 @@ class TestMeasureEvent:
         )
 
     def test_leave_measurement(self):
-        result = measure_event(lan_testbed, "TGDH", 5, "leave", **_fast())
+        result = run_experiment(ExperimentSpec(
+            "TGDH", "leave", 5, topology=lan_testbed, **_fast(),
+        ))
         assert result.event == "leave"
         assert result.total_ms > 0
 
     def test_ckd_leave_includes_controller_weighting(self):
-        result = measure_event(lan_testbed, "CKD", 6, "leave", **_fast())
+        result = run_experiment(ExperimentSpec(
+            "CKD", "leave", 6, topology=lan_testbed, **_fast(),
+        ))
         assert result.total_ms > 0
 
     def test_size_restored_between_repeats(self):
-        result = measure_event(
-            lan_testbed, "BD", 3, "join", dh_group="dh-test", repeats=3
-        )
+        result = run_experiment(ExperimentSpec(
+            "BD", "join", 3, topology=lan_testbed, dh_group="dh-test",
+            repeats=3,
+        ))
         assert result.samples == 3
 
     def test_invalid_event_rejected(self):
         with pytest.raises(ValueError):
-            measure_event(lan_testbed, "BD", 3, "banana", **_fast())
+            run_experiment(ExperimentSpec(
+                "BD", "banana", 3, topology=lan_testbed, **_fast(),
+            ))
 
     def test_grow_group_distributes_members(self):
         framework = SecureSpreadFramework(

@@ -11,7 +11,6 @@ from repro.bench.harness import (
     _fresh_framework,
     grow_group,
     grow_group_batched,
-    measure_event,
     run_experiment,
 )
 from repro.bench.scale import render_scale_table, run_scale, write_scale_json
@@ -35,11 +34,8 @@ def test_spec_validation():
 
 
 def test_wrapper_matches_spec_path():
-    """measure_event is a thin shim over run_experiment(ExperimentSpec)."""
-    via_wrapper = measure_event(
-        lan_testbed, "STR", 4, "join", dh_group="dh-test", repeats=1
-    )
-    via_spec = run_experiment(
+    """A testbed factory and its name build the same cell."""
+    via_factory = run_experiment(
         ExperimentSpec(
             protocol="STR",
             event="join",
@@ -49,7 +45,17 @@ def test_wrapper_matches_spec_path():
             repeats=1,
         )
     )
-    assert via_wrapper == via_spec
+    via_name = run_experiment(
+        ExperimentSpec(
+            protocol="STR",
+            event="join",
+            group_size=4,
+            dh_group="dh-test",
+            topology="lan",
+            repeats=1,
+        )
+    )
+    assert via_factory == via_name
 
 
 def test_spec_accepts_topology_names():
@@ -66,9 +72,11 @@ def test_spec_accepts_topology_names():
 
 
 def test_measurement_round_trips_through_dict():
-    m = measure_event(
-        lan_testbed, "BD", 3, "join", dh_group="dh-test", repeats=1,
-        engine="symbolic",
+    m = run_experiment(
+        ExperimentSpec(
+            protocol="BD", event="join", group_size=3, dh_group="dh-test",
+            topology=lan_testbed, repeats=1, engine="symbolic",
+        )
     )
     data = m.to_dict()
     assert data["engine"] == "symbolic"

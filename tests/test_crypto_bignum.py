@@ -20,7 +20,7 @@ from repro.crypto.bignum import (
 )
 from repro.crypto.fixedbase import FixedBaseTable
 from repro.crypto.groups import GROUP_TINY
-from repro.crypto.modmath import batch_exp, multi_exp, sliding_window_pow
+from repro.crypto.modmath import multi_exp, sliding_window_pow
 
 BACKENDS = available_backends()
 
@@ -130,7 +130,7 @@ def test_wrap_unwrap_round_trip(backend: BignumBackend):
 
 
 # ---------------------------------------------------------------------------
-# multi_exp / batch_exp / fixed-base edge cases, per backend
+# multi_exp / fixed-base edge cases, per backend
 
 
 def _naive_product(pairs, modulus):
@@ -175,20 +175,6 @@ def test_multi_exp_rejects_negative_exponent(backend):
         multi_exp([(4, -1)], GROUP_TINY.p, backend=backend)
 
 
-def test_batch_exp_matches_pow_loop(backend):
-    p = GROUP_TINY.p
-    exponents = [0, 1, 2, 255, 256, 508, (1 << 9) - 1]
-    assert batch_exp(7, exponents, p, backend=backend) == [
-        pow(7, e, p) for e in exponents
-    ]
-    assert batch_exp(7, [], p, backend=backend) == []
-
-
-def test_batch_exp_rejects_negative_exponent(backend):
-    with pytest.raises(ValueError):
-        batch_exp(7, [3, -1], GROUP_TINY.p, backend=backend)
-
-
 def test_sliding_window_pow_matches_builtin(backend):
     p = GROUP_TINY.p
     for exponent in (0, 1, 508, -3):
@@ -203,7 +189,6 @@ def test_fixed_base_table_per_backend(backend):
         group.p, group.g, group.q.bit_length(), window=3, backend=backend
     )
     exponents = [0, 1, 2, 100, group.q - 1]
-    assert table.pow_many(exponents) == [
-        pow(group.g, e, group.p) for e in exponents
-    ]
-    assert all(type(v) is int for v in table.pow_many(exponents))
+    values = [table.pow(e) for e in exponents]
+    assert values == [pow(group.g, e, group.p) for e in exponents]
+    assert all(type(v) is int for v in values)

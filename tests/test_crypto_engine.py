@@ -103,6 +103,13 @@ def test_get_engine_dispatch():
         get_engine("homomorphic")
 
 
+def test_get_engine_backend_suffix_is_cached():
+    engine = get_engine("real:python")
+    assert engine is get_engine("real:python")
+    assert engine.name == "real"  # artifacts never record the backend
+    assert engine.backend.name == "python"
+
+
 def test_engine_names():
     assert REAL_ENGINE.name == "real"
     assert SYMBOLIC_ENGINE.name == "symbolic"

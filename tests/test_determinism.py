@@ -2,28 +2,30 @@
 
 import pytest
 
-from repro.bench.harness import measure_event
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.core import SecureSpreadFramework
 from repro.gcs.topology import lan_testbed, wan_testbed
-from repro.protocols import PROTOCOLS
+from repro.protocols import available, get_protocol
 from repro.protocols.loopback import build_group
 
 
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+@pytest.mark.parametrize("protocol", available())
 def test_loopback_runs_are_reproducible(protocol):
-    a = build_group(PROTOCOLS[protocol], 5, seed=3)
-    b = build_group(PROTOCOLS[protocol], 5, seed=3)
+    a = build_group(get_protocol(protocol), 5, seed=3)
+    b = build_group(get_protocol(protocol), 5, seed=3)
     assert a.shared_key() == b.shared_key()
     assert a.join("x").key == b.join("x").key
 
 
 def test_simulated_measurements_are_reproducible():
-    first = measure_event(
-        lan_testbed, "TGDH", 6, "join", dh_group="dh-test", repeats=1, seed=42
-    )
-    second = measure_event(
-        lan_testbed, "TGDH", 6, "join", dh_group="dh-test", repeats=1, seed=42
-    )
+    first = run_experiment(ExperimentSpec(
+        "TGDH", "join", 6, topology=lan_testbed, dh_group="dh-test", repeats=1,
+        seed=42,
+    ))
+    second = run_experiment(ExperimentSpec(
+        "TGDH", "join", 6, topology=lan_testbed, dh_group="dh-test", repeats=1,
+        seed=42,
+    ))
     assert first.total_ms == second.total_ms
     assert first.membership_ms == second.membership_ms
 
@@ -63,7 +65,7 @@ def test_concurrent_groups_with_different_protocols():
     groups, five protocols, overlapping rekeys, no interference."""
     fw = SecureSpreadFramework(lan_testbed(), dh_group="dh-test")
     groups = {}
-    for index, protocol in enumerate(sorted(PROTOCOLS)):
+    for index, protocol in enumerate(available()):
         group_name = f"grp-{protocol}"
         fw.set_group_protocol(group_name, protocol)
         groups[group_name] = [

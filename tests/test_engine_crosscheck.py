@@ -9,18 +9,18 @@ representation preserves the algebra, not just the costs.
 
 import pytest
 
-from repro.bench.harness import measure_event
+from repro.bench.harness import ExperimentSpec, run_experiment
 from repro.gcs.topology import lan_testbed
-from repro.protocols import PROTOCOLS
+from repro.protocols import available, get_protocol
 from repro.protocols.loopback import LoopbackGroup
 
-ALL_PROTOCOLS = sorted(PROTOCOLS)
+ALL_PROTOCOLS = available()
 
 
 def _churn(protocol, engine):
     """Joins to n=8, a leave, a partition and a merge; returns per-event
     (op_counts, rounds) plus the final group for key checks."""
-    loop = LoopbackGroup(PROTOCOLS[protocol], engine=engine)
+    loop = LoopbackGroup(get_protocol(protocol), engine=engine)
     trail = []
     for i in range(8):
         stats = loop.join(f"m{i}")
@@ -57,12 +57,14 @@ def test_full_stack_times_identical(protocol):
     bit-identical total and membership times under both engines."""
     results = {}
     for engine in ("real", "symbolic"):
-        join = measure_event(
-            lan_testbed, protocol, 5, "join", repeats=1, engine=engine
-        )
-        leave = measure_event(
-            lan_testbed, protocol, 5, "leave", repeats=1, engine=engine
-        )
+        join = run_experiment(ExperimentSpec(
+            protocol, "join", 5, topology=lan_testbed, repeats=1,
+            engine=engine,
+        ))
+        leave = run_experiment(ExperimentSpec(
+            protocol, "leave", 5, topology=lan_testbed, repeats=1,
+            engine=engine,
+        ))
         results[engine] = (
             join.total_ms,
             join.membership_ms,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gcs import GcsWorld, ViewEvent, lan_testbed, wan_testbed
+from repro.obs import Observability
 
 
 @pytest.fixture()
@@ -134,6 +135,21 @@ class TestUnicast:
         (alice,) = _setup_group(world, ["alice"])
         alice.unicast("g", "ghost", "anyone there?")
         world.run_until_idle()  # must not raise
+
+    def test_unicast_to_departed_member_is_counted(self):
+        obs = Observability(enabled=True)
+        world = GcsWorld(lan_testbed(), obs=obs)
+        alice, bob = _setup_group(world, ["alice", "bob"])
+        bob.leave("g")
+        world.run_until_idle()
+        before = [len(c.received) for c in (alice, bob)]
+        assert sum(d.fifo_drops for d in world.daemons.values()) == 0
+        alice.unicast("g", "bob", "too late")
+        world.run_until_idle()
+        assert [len(c.received) for c in (alice, bob)] == before
+        assert world.daemons[0].fifo_drops == 1  # alice's daemon
+        assert sum(d.fifo_drops for d in world.daemons.values()) == 1
+        assert obs.counter("daemon.fifo_drops", daemon="d0").value == 1
 
     def test_unicast_cheaper_than_agreed_on_wan(self):
         """S6.2.2: an Agreed message costs far more than a raw unicast - the

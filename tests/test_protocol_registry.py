@@ -1,12 +1,9 @@
 """Tests for the protocol registry (`repro.protocols.register/available`)."""
 
-import warnings
-
 import pytest
 
 from repro.bench.cli import build_subcommand_parser
 from repro.protocols import (
-    PROTOCOLS,
     KeyAgreementProtocol,
     TgdhProtocol,
     available,
@@ -82,22 +79,6 @@ def test_register_attaches_step_phases():
 def test_unregister_unknown_name_raises():
     with pytest.raises(ValueError, match="unknown protocol"):
         unregister("NOPE")
-
-
-def test_protocols_mapping_iterates_silently():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert sorted(PROTOCOLS) == list(available())
-        assert len(PROTOCOLS) == len(available())
-        assert "TGDH" in PROTOCOLS
-
-
-def test_protocols_getitem_warns_deprecation():
-    with pytest.warns(DeprecationWarning, match="get_protocol"):
-        assert PROTOCOLS["TGDH"] is TgdhProtocol
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(KeyError):
-            PROTOCOLS["NOPE"]
 
 
 def test_registered_protocol_appears_in_cli_choices():

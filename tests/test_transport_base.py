@@ -1,4 +1,4 @@
-"""Tests for the transport interface: validators, conformance, shims."""
+"""Tests for the transport interface: validators, conformance, substrates."""
 
 import pytest
 
@@ -112,23 +112,7 @@ class TestConformance:
             transport.run_until_idle()
 
 
-class TestDeprecationShims:
-    def test_world_client_warns_and_forwards(self):
-        world = GcsWorld(lan_testbed())
-        with pytest.warns(DeprecationWarning, match="channel"):
-            client = world.client("legacy", 0)
-        assert client.name == "legacy"
-        assert isinstance(client, GroupChannel)
-
-    def test_framework_topology_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="substrate"):
-            framework = SecureSpreadFramework(topology=lan_testbed())
-        assert isinstance(framework.transport, GcsWorld)
-
-    def test_framework_rejects_both_forms(self):
-        with pytest.raises(ValueError, match="not both"):
-            SecureSpreadFramework(lan_testbed(), topology=lan_testbed())
-
+class TestFrameworkSubstrate:
     def test_framework_requires_a_substrate(self):
         with pytest.raises(TypeError, match="substrate"):
             SecureSpreadFramework()
